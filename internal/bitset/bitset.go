@@ -1,22 +1,11 @@
 // Package bitset provides a fixed-size bitmap used as the coherence
-// engine's dirty mask. A []bool mask costs one byte per pixel and — more
-// importantly for the parallel render core — cannot be written safely by
-// concurrent goroutines whose pixels share cache lines. The bitset packs
-// 64 pixels per word and offers two write paths:
-//
-//   - Set, for single-owner phases (mask building between frames);
-//   - SetAtomic, a compare-and-swap OR for fan-out phases where several
-//     workers mark bits that may land in the same word (parallel change
-//     detection marks dirty pixels per changed voxel).
-//
-// Reads during the render phase need no synchronisation: the mask is
-// frozen at the frame barrier before tile workers start.
+// engine's dirty mask: 64 pixels per word instead of a byte per pixel,
+// with word-at-a-time counting and run extraction. The mask is built
+// between frames by a single owner and frozen at the frame barrier, so
+// tile workers read it during the render phase without synchronisation.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Bitset is a fixed-length bitmap.
 type Bitset struct {
@@ -32,31 +21,14 @@ func New(n int) *Bitset {
 // Len returns the number of bits.
 func (b *Bitset) Len() int { return b.n }
 
-// Get reports bit i. Callers must not race Get with SetAtomic on the
-// same word; the engine separates the phases with a barrier.
+// Get reports bit i.
 func (b *Bitset) Get(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Set sets bit i (single-owner phases only).
+// Set sets bit i (single owner only).
 func (b *Bitset) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// SetAtomic sets bit i with a CAS loop, safe against concurrent
-// SetAtomic calls on the same word.
-func (b *Bitset) SetAtomic(i int) {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
 }
 
 // Reset clears every bit.

@@ -1,9 +1,6 @@
 package bitset
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestSetGetCount(t *testing.T) {
 	b := New(130) // spans three words with a ragged tail
@@ -42,28 +39,5 @@ func TestSetAllRespectsLength(t *testing.T) {
 		if !v {
 			t.Fatalf("bit %d false after SetAll", i)
 		}
-	}
-}
-
-// TestSetAtomicConcurrent hammers one word from many goroutines; run
-// under -race this is the engine's parallel change-detection pattern.
-func TestSetAtomicConcurrent(t *testing.T) {
-	const n = 256
-	b := New(n)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += 8 {
-				b.SetAtomic(i)
-				// Contend on shared words too.
-				b.SetAtomic(i / 2)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := b.Count(); got != n {
-		t.Fatalf("Count = %d, want %d", got, n)
 	}
 }

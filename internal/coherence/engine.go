@@ -3,11 +3,18 @@
 //
 // While a frame is rendered, every ray spawned for a pixel — camera,
 // reflected, refracted and shadow rays — is walked through a voxel grid
-// over object space (3D-DDA) and the pixel is registered on the pixel
-// list of every voxel the ray traverses. Between frame f and f+1 the
-// engine finds the voxels in which change occurs (objects moving in or
-// out) and marks every pixel registered on those voxels for
-// recomputation; all other pixels are copied from the previous frame.
+// over object space (3D-DDA). In the paper the pixel is registered on
+// the pixel list of every voxel the ray traverses, and between frame f
+// and f+1 every pixel registered on a voxel in which change occurs is
+// marked for recomputation; all other pixels are copied from the
+// previous frame.
+//
+// Object and light motion is a known function of the frame, so the
+// engine computes, once per sequence, the frames at which each voxel
+// changes. A pixel traced at frame t is then due again at the first
+// change of any voxel its rays cross, and that due frame is all the
+// engine stores per pixel: the dirty set for frame f+1 — exactly the
+// pixels the voxel lists would have marked — is the pixels due at f+1.
 //
 // Unlike Jevans' object-based temporal coherence, granularity is a single
 // pixel (an NxN block mode is provided as the Jevans-style baseline for
@@ -20,20 +27,22 @@
 // The engine's public methods must be called from a single goroutine,
 // but RenderFrame internally fans its region out to an intra-frame tile
 // pool of Options.Threads goroutines (default runtime.NumCPU()). Each
-// tile worker owns a trace.Worker plus a registration collector, so no
-// lock is taken on the hot path; per-tile results — pixels, ray
-// counters, voxel registrations — are merged deterministically at the
-// frame barrier. Output bytes and all reported counts are identical for
-// every thread count, which is what lets the farm treat Threads as a
-// pure speed knob (and the service cache key ignore it).
+// tile worker owns a trace.Worker plus a registration collector, and
+// each pixel belongs to one tile, so no lock is taken on the hot path;
+// per-tile counters are merged deterministically at the frame barrier.
+// Output bytes and all reported counts are identical for every thread
+// count, which is what lets the farm treat Threads as a pure speed knob
+// (and the service cache key ignore it).
 package coherence
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"nowrender/internal/bitset"
 	"nowrender/internal/fb"
+	"nowrender/internal/geom"
 	"nowrender/internal/grid"
 	"nowrender/internal/objspace"
 	"nowrender/internal/scene"
@@ -58,10 +67,6 @@ type Options struct {
 	// extra samples are deterministic per pixel.
 	AAThreshold float64
 	AASamples   int
-	// CompactEvery triggers a full compaction of stale registrations
-	// every N rendered frames, bounding memory growth on long
-	// animations. 0 selects the default of 16; negative disables.
-	CompactEvery int
 	// Threads bounds the intra-frame tile pool RenderFrame fans out to.
 	// 0 selects runtime.NumCPU(); 1 renders on the calling goroutine.
 	// Output is byte-identical for every value.
@@ -69,10 +74,9 @@ type Options struct {
 	// ObjSpaceShards, when >= 2, renders every frame through an
 	// object-space partition (internal/objspace): the frame's scene is
 	// split into that many spatial shards and rays are forwarded between
-	// shard owners instead of intersecting a replicated grid. The
-	// engine's registration lists are sharded along the same partition
-	// (see markChanges). Output is byte-identical to the replicated
-	// path — the partition changes who intersects a ray, never the hit.
+	// shard owners instead of intersecting a replicated grid. Output is
+	// byte-identical to the replicated path — the partition changes who
+	// intersects a ray, never the hit.
 	ObjSpaceShards int
 	// ObjSpaceStats, when non-nil with ObjSpaceShards >= 2, accumulates
 	// forwarding counters and resident sizes across the sequence; nil
@@ -93,14 +97,8 @@ type Options struct {
 	TileTracks    []*timeline.Track
 }
 
-// registration is one (pixel, frame) entry on a voxel's pixel list. The
-// entry is valid only while the pixel has not been re-rendered since
-// `frame` — re-rendering re-registers the pixel's rays, so older entries
-// are lazily discarded when touched.
-type registration struct {
-	pixel int32
-	frame int32
-}
+// never is the due frame of a pixel or voxel that no change reaches.
+const never = math.MaxInt32
 
 // Engine renders a region of an animation sequence exploiting frame
 // coherence. It must be fed consecutive frames via RenderFrame, starting
@@ -116,34 +114,44 @@ type Engine struct {
 	end    int // exclusive
 	opts   Options
 
-	grid        *grid.Grid
-	voxelPixels [][]registration
-	// pixelStamp[p] is the frame at which region-local pixel p was last
-	// actually traced; registrations from older frames are stale. Tile
-	// workers write disjoint entries (each pixel belongs to one tile).
-	pixelStamp []int32
+	grid *grid.Grid
+	// changes[g-start] lists the registration voxels in which change
+	// occurs between frames g and g+1 — the voxels a moved object
+	// occupies at either frame (nil for a step at which a light moves,
+	// which dirties every pixel). nextDue[g-start][i] is the frame at
+	// which changes[g-start][i] is due after that: one past its next
+	// change, or never. Built once by NewEngine.
+	changes   [][]int32
+	nextDue   [][]int32
+	lightStep []bool
+	// voxelDue[v] is the frame at which a pixel whose rays cross voxel v
+	// during the current frame must be traced again: one past the first
+	// step at or after the current frame at which v changes.
+	voxelDue []int32
+	// due[p] is the frame at which region-local pixel p must next be
+	// traced, the minimum of voxelDue over the voxels its rays crossed
+	// when last traced; regs[p] counts those voxels. Tile workers write
+	// disjoint entries (each pixel belongs to one tile).
+	due  []int32
+	regs []int32
 
 	prev      *fb.Framebuffer
 	nextFrame int
 	// dirty is the region-local dirty mask for nextFrame. Frozen while
-	// tiles render; rebuilt between frames (atomically during parallel
-	// change detection).
+	// tiles render; rebuilt between frames from due.
 	dirty *bitset.Bitset
 	// lastSpans is the span form of the mask that drove the most recent
 	// RenderFrame — exactly the pixels that call traced (storage reused
 	// each frame; see LastSpans).
 	lastSpans []fb.Span
 
-	// collectors are the per-tile-worker registration buffers, reused
+	// collectors are the per-tile-worker registration collectors, reused
 	// across frames (index = worker slot).
 	collectors []*regCollector
 
 	// objStats accumulates object-space forwarding counters when
-	// Options.ObjSpaceShards >= 2 (nil otherwise); regShard maps each
-	// registration-grid voxel to the shard owning its slab, so
-	// registration lists are partitioned exactly like the geometry.
+	// Options.ObjSpaceShards >= 2 (nil otherwise).
 	objStats *objspace.Stats
-	regShard []uint8
 }
 
 // NewEngine prepares a coherence engine for frames [start, end) of the
@@ -188,14 +196,11 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 	e := &Engine{
 		sc: sc, W: w, H: h, Region: region,
 		start: start, end: end, opts: opts,
-		grid:        g,
-		voxelPixels: make([][]registration, g.NumVoxels()),
-		pixelStamp:  make([]int32, region.Area()),
-		nextFrame:   start,
-		dirty:       bitset.New(region.Area()),
-	}
-	for i := range e.pixelStamp {
-		e.pixelStamp[i] = -1
+		grid:      g,
+		due:       make([]int32, region.Area()),
+		regs:      make([]int32, region.Area()),
+		nextFrame: start,
+		dirty:     bitset.New(region.Area()),
 	}
 	// Everything is dirty for the first frame.
 	e.dirty.SetAll()
@@ -208,43 +213,78 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 		if e.objStats == nil {
 			e.objStats = &objspace.Stats{}
 		}
-		// Shard the registration lists along the same mass-balanced slab
-		// scheme the tracer uses, computed once over the sequence-wide
-		// registration grid (first-frame geometry picks the axis and
-		// cuts). Each registration voxel — and so each pixel list —
-		// belongs to exactly one shard; change detection visits them
-		// shard by shard (see markChanges). Sharding changes only that
-		// visiting order, never which pixels get dirtied.
-		part := objspace.MakePartition(g, opts.ObjSpaceShards, sc.ResolveFrame(start))
-		e.regShard = make([]uint8, g.NumVoxels())
-		for idx := range e.regShard {
-			ix, iy, iz := g.Coords(idx)
-			v := [3]int{ix, iy, iz}[part.Axis]
-			s := len(part.Slabs) - 1
-			for i, slab := range part.Slabs {
-				if v < slab[1] {
-					s = i
-					break
-				}
-			}
-			e.regShard[idx] = uint8(s)
+	}
+	e.buildSchedule()
+	return e, nil
+}
+
+// buildSchedule finds the change voxels of every step g -> g+1 of the
+// sequence and links each to the same voxel's next change, then sets
+// voxelDue for the first frame.
+func (e *Engine) buildSchedule() {
+	steps := e.end - 1 - e.start
+	e.changes = make([][]int32, steps)
+	e.nextDue = make([][]int32, steps)
+	e.lightStep = make([]bool, steps)
+	mark := make([]int32, e.grid.NumVoxels())
+	for g := 0; g < steps; g++ {
+		e.changes[g], e.lightStep[g] = e.changedVoxels(e.start+g, mark)
+	}
+
+	e.voxelDue = make([]int32, e.grid.NumVoxels())
+	for v := range e.voxelDue {
+		e.voxelDue[v] = never
+	}
+	for g := steps - 1; g >= 0; g-- {
+		nd := make([]int32, len(e.changes[g]))
+		for i, v := range e.changes[g] {
+			nd[i] = e.voxelDue[v]
+			e.voxelDue[v] = int32(e.start + g + 1)
+		}
+		e.nextDue[g] = nd
+	}
+}
+
+// changedVoxels returns the voxels in which change occurs between frames
+// f0 and f0+1: those a moved object's shape at either frame truly
+// overlaps. A moving light reports lightMoved instead, since it
+// invalidates every pixel (all shadow terms may change; the paper's
+// scenes keep lights fixed). mark is scratch, one entry per voxel,
+// holding no value f0+1 on entry.
+func (e *Engine) changedVoxels(f0 int, mark []int32) (voxels []int32, lightMoved bool) {
+	for _, l := range e.sc.Lights {
+		if l.MovedBetween(f0, f0+1) {
+			return nil, true
 		}
 	}
-	return e, nil
+	stamp := int32(f0 + 1)
+	for _, o := range e.sc.Objects {
+		if !o.MovedBetween(f0, f0+1) {
+			continue
+		}
+		// Space the object leaves and space it enters both change. The
+		// exact shape-overlap test keeps thin slanted objects (the
+		// cradle strings) from dirtying their whole bounding box.
+		for _, f := range [2]int{f0, f0 + 1} {
+			shape := o.ShapeAt(f)
+			e.grid.VoxelsOverlapping(shape.Bounds(), func(idx int) {
+				if mark[idx] == stamp {
+					return
+				}
+				ix, iy, iz := e.grid.Coords(idx)
+				if geom.ShapeOverlapsBox(shape, e.grid.VoxelBounds(ix, iy, iz)) {
+					mark[idx] = stamp
+					voxels = append(voxels, int32(idx))
+				}
+			})
+		}
+	}
+	return voxels, false
 }
 
 // ObjSpaceStats returns the engine's object-space counters, or nil when
 // Options.ObjSpaceShards is off.
 func (e *Engine) ObjSpaceStats() *objspace.Stats { return e.objStats }
-
-// RegistrationShard returns the shard owning registration voxel idx
-// (tests inspect the partition; -1 when sharding is off).
-func (e *Engine) RegistrationShard(idx int) int {
-	if e.regShard == nil {
-		return -1
-	}
-	return int(e.regShard[idx])
-}
 
 // registrationResolution picks the default registration-grid density:
 // finer than the intersection-acceleration heuristic, because voxel size
@@ -331,10 +371,11 @@ type FrameReport struct {
 	// DirtyNext is the number of pixels predicted to change in the next
 	// frame (0 after the last frame).
 	DirtyNext int
-	// Registrations counts voxel-pixel registrations made this frame and
-	// ChangeVoxels the voxels examined by change detection — the work
-	// quantities the virtual NOW cost model charges for coherence
-	// bookkeeping.
+	// Registrations counts voxel-pixel registrations made this frame —
+	// the distinct voxels each traced pixel's rays crossed, summed — and
+	// ChangeVoxels the voxels in which change occurs before the next
+	// frame: the work quantities the virtual NOW cost model charges for
+	// coherence bookkeeping.
 	Registrations uint64
 	ChangeVoxels  int
 	// Forwarded counts rays forwarded between object-space shards this
@@ -342,8 +383,8 @@ type FrameReport struct {
 	Forwarded uint64
 	Rays      stats.RayCounters
 	// Overhead is the time spent on coherence bookkeeping (ray
-	// registration is folded into render time; this counts change
-	// detection and mask building).
+	// registration is folded into render time; this counts building
+	// the next frame's mask from the due frames).
 	Overhead time.Duration
 }
 
@@ -410,7 +451,7 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	cdStart := e.opts.TimelineTrack.Begin()
 	e.dirty.Reset()
 	if frame+1 < e.end {
-		rep.ChangeVoxels = e.markChanges(frame, frame+1)
+		rep.ChangeVoxels = e.markDue(frame)
 		if e.opts.BlockGranularity > 1 {
 			e.dilateToBlocks(e.opts.BlockGranularity)
 		}
@@ -426,18 +467,30 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 		e.prev.CopyRect(dst, e.Region)
 	}
 	e.nextFrame++
-
-	// Periodic compaction bounds registration memory on long sequences
-	// (the paper: memory proportional to image area — stale entries must
-	// not accumulate per frame).
-	ce := e.opts.CompactEvery
-	if ce == 0 {
-		ce = 16
-	}
-	if ce > 0 && (e.nextFrame-e.start)%ce == 0 {
-		e.Compact()
-	}
 	return rep, nil
+}
+
+// markDue sets the dirty flag of every pixel due at frame f+1 — exactly
+// the pixels whose rays, when last traced, crossed a voxel in which
+// change occurs between f and f+1, since a pixel due earlier was traced
+// at its due frame — then advances the voxels that change at this step
+// to their next due frame. It returns the number of changed voxels.
+func (e *Engine) markDue(f int) int {
+	g := f - e.start
+	if e.lightStep[g] {
+		e.dirty.SetAll()
+		return 0
+	}
+	next := int32(f + 1)
+	for p, d := range e.due {
+		if d <= next {
+			e.dirty.Set(p)
+		}
+	}
+	for i, v := range e.changes[g] {
+		e.voxelDue[v] = e.nextDue[g][i]
+	}
+	return len(e.changes[g])
 }
 
 // dilateToBlocks expands the dirty mask to n x n pixel blocks aligned to
@@ -464,32 +517,15 @@ func (e *Engine) dilateToBlocks(n int) {
 }
 
 // RegistrationCount returns the total number of live voxel-pixel
-// registrations (memory accounting; the paper notes memory requirements
-// are proportional to image area).
+// registrations — the distinct voxels each pixel's rays crossed when it
+// was last traced, summed over the region (memory accounting; the paper
+// notes memory requirements are proportional to image area).
 func (e *Engine) RegistrationCount() int {
 	n := 0
-	for _, regs := range e.voxelPixels {
-		for _, reg := range regs {
-			if e.pixelStamp[reg.pixel] == reg.frame {
-				n++
-			}
-		}
+	for _, r := range e.regs {
+		n += int(r)
 	}
 	return n
-}
-
-// Compact drops all stale registrations, trimming memory between
-// sequences.
-func (e *Engine) Compact() {
-	for i, regs := range e.voxelPixels {
-		kept := regs[:0]
-		for _, reg := range regs {
-			if e.pixelStamp[reg.pixel] == reg.frame {
-				kept = append(kept, reg)
-			}
-		}
-		e.voxelPixels[i] = kept
-	}
 }
 
 // RenderSequence is a single-processor convenience driver: it renders

@@ -2,12 +2,11 @@ package coherence
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"nowrender/internal/fb"
-	"nowrender/internal/geom"
+	"nowrender/internal/grid"
 	"nowrender/internal/timeline"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
@@ -21,92 +20,77 @@ func (e *Engine) threads() int {
 	return runtime.NumCPU()
 }
 
-// voxelReg is one buffered registration: pixel curPixel touched voxel
-// `voxel` during the current frame. Buffers are committed to the shared
-// voxelPixels lists at the frame barrier.
-type voxelReg struct {
-	voxel int32
-	pixel int32
-}
-
-// regCollector implements trace.RayObserver for one tile worker. It
-// buffers the worker's registrations locally so the render hot path
-// never takes a lock; dedup state (one entry per pixel per voxel per
-// frame, exactly matching the serial engine's last-entry check, since a
-// pixel's rays are consecutive and each pixel belongs to one worker)
-// rides along in lastPixel/lastFrame.
+// regCollector implements trace.RayObserver for one tile worker. While
+// a pixel is traced it walks each of the pixel's rays through the
+// registration grid, keeping the minimum voxelDue over the voxels
+// crossed and counting them once each; renderTile stores both for the
+// pixel when it is done. A pixel's rays are consecutive and each pixel
+// belongs to one worker, so the collector needs no lock.
 type regCollector struct {
-	e        *Engine
-	frame    int32
-	curPixel int32
-	// lastPixel/lastFrame[idx] record the latest (pixel, frame) this
-	// collector registered on voxel idx, for O(1) dedup.
-	lastPixel []int32
-	lastFrame []int32
-	buf       []voxelReg
+	e *Engine
+	// seen[v] == stamp marks voxel v as counted for the current pixel;
+	// stamp advances once per traced pixel.
+	seen  []uint32
+	stamp uint32
+	// due and count accumulate the current pixel's due frame and
+	// distinct-voxel count; frameRegs sums count over the frame.
+	due       int32
+	count     int32
+	frameRegs uint64
 }
 
 // ensureCollectors grows the reusable collector pool to n workers.
 func (e *Engine) ensureCollectors(n int) {
 	for len(e.collectors) < n {
-		nv := e.grid.NumVoxels()
-		c := &regCollector{
-			e:         e,
-			lastPixel: make([]int32, nv),
-			lastFrame: make([]int32, nv),
-		}
-		for i := range c.lastFrame {
-			c.lastFrame[i] = -1
-		}
-		e.collectors = append(e.collectors, c)
+		e.collectors = append(e.collectors, &regCollector{e: e, seen: make([]uint32, e.grid.NumVoxels())})
 	}
 }
 
-// beginFrame resets the collector for a new frame. Dedup state needs no
-// clearing: stale entries carry an older frame number and never match.
-func (c *regCollector) beginFrame(frame int32) {
-	c.frame = frame
-	c.buf = c.buf[:0]
+// beginPixel resets the per-pixel state before a pixel is traced.
+func (c *regCollector) beginPixel() {
+	c.stamp++
+	if c.stamp == 0 {
+		// The stamp wrapped: forget every mark rather than alias one.
+		clear(c.seen)
+		c.stamp = 1
+	}
+	c.due = never
+	c.count = 0
 }
 
-// ObserveRay implements trace.RayObserver: buffer a registration of the
-// current pixel on every voxel the ray traverses up to its hit (or
-// through the whole grid for escaping rays).
+// ObserveRay implements trace.RayObserver: register the current pixel on
+// every voxel the ray traverses up to its hit (or through the whole grid
+// for escaping rays).
 func (c *regCollector) ObserveRay(r vm.Ray, tHit float64) {
 	if r.Kind == vm.ShadowRay && c.e.opts.DisableShadowRegistration {
 		return
 	}
-	p := c.curPixel
-	c.e.grid.Walk(r, 0, tHit, func(idx int, _, _ float64) bool {
-		if c.lastPixel[idx] == p && c.lastFrame[idx] == c.frame {
-			return true
+	var w grid.Walker
+	w.Start(c.e.grid, r, 0, tHit)
+	for {
+		idx, _, _, ok := w.Next()
+		if !ok {
+			return
 		}
-		c.lastPixel[idx] = p
-		c.lastFrame[idx] = c.frame
-		c.buf = append(c.buf, voxelReg{voxel: int32(idx), pixel: p})
-		return true
-	})
-}
-
-// commit appends the buffered registrations to the engine's shared
-// per-voxel lists. Called serially at the frame barrier.
-func (c *regCollector) commit() {
-	for _, vr := range c.buf {
-		c.e.voxelPixels[vr.voxel] = append(c.e.voxelPixels[vr.voxel], registration{pixel: vr.pixel, frame: c.frame})
+		if d := c.e.voxelDue[idx]; d < c.due {
+			c.due = d
+		}
+		if c.seen[idx] != c.stamp {
+			c.seen[idx] = c.stamp
+			c.count++
+		}
 	}
 }
 
 // renderTiles renders the engine's region for one frame through the
 // intra-frame tile pool, filling rep's per-frame counts. Determinism:
-// every pixel's colour is a pure function of its coordinates and the
-// frozen dirty mask decides trace-vs-copy per pixel, so tile order and
-// thread count cannot change a single output byte; counters and
-// registration buffers are merged in worker-slot order at the barrier,
-// and the registration multiset is identical to the serial engine's
-// (see regCollector).
-// newWorker abstracts over trace.FrameTracer.NewWorker (the replicated
-// path) and objspace.Cluster.NewWorker (the sharded path): both yield a
-// trace.Worker wired to the given observer.
+// every pixel's colour, due frame and registration count are pure
+// functions of its coordinates and the frame, and the frozen dirty mask
+// decides trace-vs-copy per pixel, so tile order and thread count cannot
+// change a single output byte; counters are merged in worker-slot order
+// at the barrier. newWorker abstracts over trace.FrameTracer.NewWorker
+// (the replicated path) and objspace.Cluster.NewWorker (the sharded
+// path): both yield a trace.Worker wired to the given observer.
 func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, frame int, dst *fb.Framebuffer, rep *FrameReport) {
 	tiles := e.Region.Blocks(trace.TileW, trace.TileH)
 	threads := e.threads()
@@ -124,7 +108,7 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		c := e.collectors[i]
-		c.beginFrame(int32(frame))
+		c.frameRegs = 0
 		w := newWorker(c)
 		workers[i] = w
 		var tr *timeline.Track
@@ -138,7 +122,7 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 					return
 				}
 				s := tr.Begin()
-				r, cp := e.renderTile(w, c, frame, dst, tiles[t])
+				r, cp := e.renderTile(w, c, dst, tiles[t])
 				tr.EndArg(timeline.OpTile, frame, s, int64(r))
 				tallies[slot].rendered += r
 				tallies[slot].copied += cp
@@ -161,17 +145,14 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 		rep.Rendered += tallies[i].rendered
 		rep.Copied += tallies[i].copied
 		rep.Rays.Merge(workers[i].Counters)
-		rep.Registrations += uint64(len(e.collectors[i].buf))
-	}
-	for i := 0; i < threads; i++ {
-		e.collectors[i].commit()
+		rep.Registrations += e.collectors[i].frameRegs
 	}
 }
 
 // renderTile traces the dirty pixels of one tile and copies the clean
-// ones. Tiles are disjoint, so pixelStamp and framebuffer writes from
+// ones. Tiles are disjoint, so due, regs and framebuffer writes from
 // concurrent tile workers never touch the same index.
-func (e *Engine) renderTile(w *trace.Worker, c *regCollector, frame int, dst *fb.Framebuffer, tile fb.Rect) (rendered, copied int) {
+func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffer, tile fb.Rect) (rendered, copied int) {
 	for y := tile.Y0; y < tile.Y1; y++ {
 		for x := tile.X0; x < tile.X1; x++ {
 			p := e.pixelIndex(x, y)
@@ -180,131 +161,13 @@ func (e *Engine) renderTile(w *trace.Worker, c *regCollector, frame int, dst *fb
 				copied++
 				continue
 			}
-			// Invalidate stale registrations and trace afresh.
-			e.pixelStamp[p] = int32(frame)
-			c.curPixel = p
+			c.beginPixel()
 			dst.Set(x, y, w.TracePixel(x, y, e.W, e.H))
+			e.due[p] = c.due
+			e.regs[p] = c.count
+			c.frameRegs += uint64(c.count)
 			rendered++
 		}
 	}
 	return rendered, copied
-}
-
-// markChanges sets the dirty flag of every valid pixel registered on a
-// voxel in which change occurs between frames f0 and f1, returning the
-// number of changed voxels.
-//
-// Phase 1 (serial) collects candidate voxels — those whose bounds a
-// moved shape's box overlaps — with the shapes to test. Phase 2 fans the
-// exact per-voxel shape-overlap tests and registration-list compaction
-// out over the thread pool: voxels are disjoint, so the only shared
-// writes are atomic dirty-mask bits.
-func (e *Engine) markChanges(f0, f1 int) int {
-	// A moving light invalidates every pixel: all shadow terms may
-	// change. (The paper's scenes keep lights fixed.)
-	for _, l := range e.sc.Lights {
-		if l.MovedBetween(f0, f1) {
-			e.dirty.SetAll()
-			return 0
-		}
-	}
-
-	cands := make(map[int][]geom.Shape)
-	var order []int // deterministic iteration for phase 2
-	for _, o := range e.sc.Objects {
-		if !o.MovedBetween(f0, f1) {
-			continue
-		}
-		// Space the object leaves and space it enters both change. The
-		// per-voxel shape overlap test (phase 2) keeps thin slanted
-		// objects (the cradle strings) from dirtying their whole
-		// bounding box.
-		for _, f := range [2]int{f0, f1} {
-			shape := o.ShapeAt(f)
-			e.grid.VoxelsOverlapping(shape.Bounds(), func(idx int) {
-				if _, ok := cands[idx]; !ok {
-					order = append(order, idx)
-				}
-				cands[idx] = append(cands[idx], shape)
-			})
-		}
-	}
-
-	// With object-space sharding, group the candidate voxels by owning
-	// shard (stable within a shard): each shard's worker compacts and
-	// dirties only its own registration lists, so the lists never need
-	// to leave their owner. The dirty mask is a set union over voxels —
-	// visiting order cannot change a single bit.
-	if e.regShard != nil {
-		sort.SliceStable(order, func(i, j int) bool {
-			return e.regShard[order[i]] < e.regShard[order[j]]
-		})
-	}
-
-	threads := e.threads()
-	if threads > len(order) {
-		threads = len(order)
-	}
-	if threads <= 1 {
-		changed := 0
-		for _, idx := range order {
-			if e.markVoxel(idx, cands[idx]) {
-				changed++
-			}
-		}
-		return changed
-	}
-	var changed int64
-	var next int64
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := int64(0)
-			for {
-				t := int(atomic.AddInt64(&next, 1)) - 1
-				if t >= len(order) {
-					break
-				}
-				if e.markVoxel(order[t], cands[order[t]]) {
-					n++
-				}
-			}
-			atomic.AddInt64(&changed, n)
-		}()
-	}
-	wg.Wait()
-	return int(changed)
-}
-
-// markVoxel runs the exact overlap test for one candidate voxel and, if
-// any moved shape truly overlaps it, dirties the voxel's valid
-// registrations and compacts its list in place (discarding entries
-// superseded by a later re-render). Safe to run concurrently for
-// distinct voxels.
-func (e *Engine) markVoxel(idx int, shapes []geom.Shape) bool {
-	ix, iy, iz := e.grid.Coords(idx)
-	vb := e.grid.VoxelBounds(ix, iy, iz)
-	overlaps := false
-	for _, s := range shapes {
-		if geom.ShapeOverlapsBox(s, vb) {
-			overlaps = true
-			break
-		}
-	}
-	if !overlaps {
-		return false
-	}
-	regs := e.voxelPixels[idx]
-	kept := regs[:0]
-	for _, reg := range regs {
-		if e.pixelStamp[reg.pixel] != reg.frame {
-			continue // stale
-		}
-		kept = append(kept, reg)
-		e.dirty.SetAtomic(int(reg.pixel))
-	}
-	e.voxelPixels[idx] = kept
-	return true
 }

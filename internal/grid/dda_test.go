@@ -207,3 +207,151 @@ func TestWalkMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// referenceWalk is the callback-driven 3D-DDA as it stood before Walker
+// existed, kept verbatim as the oracle for TestWalkerMatchesReference.
+func referenceWalk(g *Grid, r vm.Ray, tMin, tMax float64, visit func(idx int, tEnter, tLeave float64)) {
+	iv, hit := g.bounds.IntersectRay(r, tMin, tMax)
+	if !hit {
+		return
+	}
+	t := iv.Min
+	startT := t + 1e-12*(1+math.Abs(t))
+	p := r.At(startT)
+	ix, iy, iz, ok := g.VoxelOf(p)
+	if !ok {
+		p = p.Max(g.bounds.Min).Min(g.bounds.Max)
+		ix, iy, iz, ok = g.VoxelOf(p)
+		if !ok {
+			return
+		}
+	}
+	var step [3]int
+	var tDelta, tNext [3]float64
+	idxCoord := [3]int{ix, iy, iz}
+	dims := [3]int{g.nx, g.ny, g.nz}
+	for a := 0; a < 3; a++ {
+		d := r.Dir.Axis(a)
+		switch {
+		case d > 0:
+			step[a] = 1
+			tDelta[a] = g.cellSize.Axis(a) / d
+			boundary := g.bounds.Min.Axis(a) + float64(idxCoord[a]+1)*g.cellSize.Axis(a)
+			tNext[a] = (boundary - r.Origin.Axis(a)) / d
+		case d < 0:
+			step[a] = -1
+			tDelta[a] = -g.cellSize.Axis(a) / d
+			boundary := g.bounds.Min.Axis(a) + float64(idxCoord[a])*g.cellSize.Axis(a)
+			tNext[a] = (boundary - r.Origin.Axis(a)) / d
+		default:
+			tDelta[a] = math.Inf(1)
+			tNext[a] = math.Inf(1)
+		}
+	}
+	tEnter := iv.Min
+	for {
+		axis := 0
+		if tNext[1] < tNext[axis] {
+			axis = 1
+		}
+		if tNext[2] < tNext[axis] {
+			axis = 2
+		}
+		visit(g.Index(idxCoord[0], idxCoord[1], idxCoord[2]), tEnter, math.Min(tNext[axis], iv.Max))
+		if tNext[axis] > iv.Max {
+			return
+		}
+		tEnter = tNext[axis]
+		tNext[axis] += tDelta[axis]
+		idxCoord[axis] += step[axis]
+		if idxCoord[axis] < 0 || idxCoord[axis] >= dims[axis] {
+			return
+		}
+	}
+}
+
+// TestWalkerMatchesReference is the property that lets the coherence
+// engine register rays through Walker: on random rays — oblique,
+// parallel to one or two axes, starting inside or outside the
+// grid, with finite and infinite tMax — Walker.Next and Walk yield the
+// reference DDA's voxel sequence and intervals exactly.
+func TestWalkerMatchesReference(t *testing.T) {
+	g, err := New(vm.NewAABB(vm.V(-1, 0, 2), vm.V(3, 1.5, 4)), 7, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		idx            int
+		tEnter, tLeave float64
+	}
+	rng := vm.NewRNG(7)
+	nonEmpty := 0
+	for trial := 0; trial < 4000; trial++ {
+		// Aim at a random point of the grid from a random origin around
+		// it. On a third of the rays each, one or two axes of the origin
+		// take the target's coordinate, so the ray is axis-parallel
+		// there and takes the infinite-tNext branch.
+		target := vm.V(rng.InRange(-1, 3), rng.InRange(0, 1.5), rng.InRange(2, 4))
+		o := [3]float64{rng.InRange(-3, 5), rng.InRange(-2, 3.5), rng.InRange(0, 6)}
+		switch trial % 3 {
+		case 1:
+			a := rng.Intn(3)
+			o[a] = target.Axis(a)
+		case 2:
+			a := rng.Intn(3)
+			for b := 0; b < 3; b++ {
+				if b != a {
+					o[b] = target.Axis(b)
+				}
+			}
+		}
+		d := target.Sub(vm.V(o[0], o[1], o[2]))
+		if d.Len() < 1e-3 {
+			continue
+		}
+		r := vm.Ray{Origin: vm.V(o[0], o[1], o[2]), Dir: d}
+		if trial%5 == 0 {
+			r.Dir = r.Dir.Scale(-1) // half of these start beyond the grid and miss
+		}
+		tMax := math.Inf(1)
+		if trial%2 == 0 {
+			tMax = rng.InRange(0, 1.5)
+		}
+
+		var want []step
+		referenceWalk(g, r, 0, tMax, func(idx int, a, b float64) { want = append(want, step{idx, a, b}) })
+		var got []step
+		var w Walker
+		w.Start(g, r, 0, tMax)
+		for {
+			idx, a, b, ok := w.Next()
+			if !ok {
+				break
+			}
+			got = append(got, step{idx, a, b})
+		}
+		var walked []step
+		g.Walk(r, 0, tMax, func(idx int, a, b float64) bool {
+			walked = append(walked, step{idx, a, b})
+			return true
+		})
+		if len(got) != len(want) || len(walked) != len(want) {
+			t.Fatalf("trial %d ray %+v: Walker %d / Walk %d voxels, reference %d", trial, r, len(got), len(walked), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] || walked[i] != want[i] {
+				t.Fatalf("trial %d step %d: Walker %+v, Walk %+v, reference %+v", trial, i, got[i], walked[i], want[i])
+			}
+		}
+		if len(want) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 1000 {
+		t.Fatalf("only %d rays pierced the grid; the property is barely exercised", nonEmpty)
+	}
+	var zero Walker
+	if _, _, _, ok := zero.Next(); ok {
+		t.Error("zero Walker yielded a voxel")
+	}
+}

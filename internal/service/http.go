@@ -48,12 +48,19 @@ func (s *Service) Handler() http.Handler {
 }
 
 // writeJSON sends v with the given status code.
+//
+// The body ends with the value's closing bracket and carries its length.
+// A client that decodes the value and closes the body keeps its
+// keep-alive connection only if it has read the body to the end, and a
+// json.Decoder stops reading at the closing bracket: a trailing newline
+// that falls just past one of its 512-byte reads is left unread, and
+// the client has to dial again for its next request.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, _ := json.MarshalIndent(v, "", "  ")
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError sends a JSON error body.
@@ -172,7 +179,9 @@ func (s *Service) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.URL.Query().Get("format") {
 	case "", "tga":
+		// A known length lets the body go out unchunked.
 		w.Header().Set("Content-Type", "image/x-tga")
+		w.Header().Set("Content-Length", strconv.Itoa(tga.Size(img)))
 		_ = tga.Encode(w, img)
 	case "ppm":
 		w.Header().Set("Content-Type", "image/x-portable-pixmap")

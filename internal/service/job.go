@@ -153,6 +153,10 @@ type Status struct {
 	// (exported in /metrics as nowrender_job_*_seconds).
 	QueueDurationMS int64 `json:"queue_ms"`
 	RunDurationMS   int64 `json:"run_ms"`
+	// LeaseDurationMS is the part of the run spent waiting for fleet
+	// grants, summed over the job's farm runs: a job admitted at once
+	// can still wait here while other jobs hold the workers.
+	LeaseDurationMS int64 `json:"lease_ms"`
 }
 
 // Event is one server-sent progress event on GET /jobs/{id}/events.
@@ -215,6 +219,8 @@ type job struct {
 	enqueuedAt int64
 
 	submitted, started, finished time.Time
+	// leaseWait sums the time the job's farm runs waited for grants.
+	leaseWait time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -244,6 +250,7 @@ func (j *job) status() Status {
 		ForwardBytes:              j.objspace.ForwardBytes,
 		ObjSpacePeakResidentBytes: j.objspace.PeakResidentBytes,
 		Submitted:                 j.submitted, Started: j.started, Finished: j.finished,
+		LeaseDurationMS: j.leaseWait.Milliseconds(),
 	}
 	if len(j.wire.BaseMissByWorker) > 0 {
 		st.WireBaseMissByWorker = make(map[string]uint64, len(j.wire.BaseMissByWorker))

@@ -679,6 +679,7 @@ func (s *Service) renderRange(j *job, start, end int) error {
 	if j.spec.Driver == "virtual" {
 		want = len(s.cfg.Machines)
 	}
+	leaseStart := time.Now()
 	grant, err := s.leaser.Acquire(j.ctx, want)
 	if err != nil {
 		return err
@@ -686,6 +687,7 @@ func (s *Service) renderRange(j *job, start, end int) error {
 	defer grant.Return()
 	slots := grant.Granted()
 	s.mu.Lock()
+	j.leaseWait += time.Since(leaseStart)
 	j.schedTrack.Instant(timeline.OpLease, start, int64(slots))
 	s.mu.Unlock()
 

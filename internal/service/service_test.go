@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/fleet"
 	"nowrender/internal/tga"
 )
 
@@ -472,16 +475,25 @@ func TestHTTPEndToEnd(t *testing.T) {
 		if fResp.StatusCode != http.StatusOK {
 			t.Fatalf("frame fetch %q status = %d", format, fResp.StatusCode)
 		}
+		raw, err := io.ReadAll(fResp.Body)
+		fResp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got *fb.Framebuffer
 		switch format {
 		case "":
-			got, err = tga.Decode(fResp.Body)
+			// TGA bodies carry their length and are not chunked.
+			if fResp.ContentLength != int64(len(raw)) || len(fResp.TransferEncoding) != 0 {
+				t.Fatalf("TGA frame: Content-Length %d, transfer encoding %v, body %d bytes",
+					fResp.ContentLength, fResp.TransferEncoding, len(raw))
+			}
+			got, err = tga.Decode(bytes.NewReader(raw))
 		case "?format=ppm":
-			got, err = tga.DecodePPM(fResp.Body)
+			got, err = tga.DecodePPM(bytes.NewReader(raw))
 		case "?format=png":
-			got, err = tga.DecodePNG(fResp.Body)
+			got, err = tga.DecodePNG(bytes.NewReader(raw))
 		}
-		fResp.Body.Close()
 		if err != nil {
 			t.Fatalf("decode %q: %v", format, err)
 		}
@@ -672,5 +684,101 @@ func TestNegativeCacheBytesDisablesCaching(t *testing.T) {
 	}
 	if cs := s.CacheStats(); cs.Entries != 0 {
 		t.Fatalf("cache entries = %d, want 0", cs.Entries)
+	}
+}
+
+// gatedLeaser holds every Acquire until open is closed, announcing each
+// waiting call on waiting.
+type gatedLeaser struct {
+	fleet.Leaser
+	waiting chan struct{}
+	open    chan struct{}
+}
+
+func (g *gatedLeaser) Acquire(ctx context.Context, n int) (fleet.Grant, error) {
+	g.waiting <- struct{}{}
+	<-g.open
+	return g.Leaser.Acquire(ctx, n)
+}
+
+// TestStatusReportsLeaseWait: a job admitted at once but held at the
+// fleet grant reports that wait as lease_ms, inside run_ms, while
+// queue_ms stays near zero.
+func TestStatusReportsLeaseWait(t *testing.T) {
+	const hold = 60 * time.Millisecond
+	gl := &gatedLeaser{Leaser: fleet.NewPool(0), waiting: make(chan struct{}, 1), open: make(chan struct{})}
+	s := New(Config{Leaser: gl})
+	defer s.Close()
+	st, err := s.Submit(JobSpec{Scene: "newton:2", W: 24, H: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gl.waiting
+	time.Sleep(hold)
+	close(gl.open)
+	done := waitDone(t, s, st.ID)
+	if done.State != StateDone {
+		t.Fatalf("job %s: %s", done.State, done.Error)
+	}
+	if done.LeaseDurationMS < hold.Milliseconds() {
+		t.Errorf("lease_ms %d, want at least the %d ms hold", done.LeaseDurationMS, hold.Milliseconds())
+	}
+	if done.RunDurationMS < done.LeaseDurationMS {
+		t.Errorf("run_ms %d shorter than lease_ms %d", done.RunDurationMS, done.LeaseDurationMS)
+	}
+	if done.QueueDurationMS >= hold.Milliseconds() {
+		t.Errorf("queue_ms %d: the lease wait leaked into the queue phase", done.QueueDurationMS)
+	}
+	raw, err := json.Marshal(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"lease_ms":`) {
+		t.Errorf("status JSON lacks lease_ms: %s", raw)
+	}
+}
+
+// TestJSONResponsesKeepConnection: a client that decodes a JSON reply
+// with json.Decoder and closes the body must keep its keep-alive
+// connection whatever the reply's length — in particular when the value
+// ends right at the decoder's 512-byte read, where a trailing newline
+// used to be left unread and cost the client a fresh dial.
+func TestJSONResponsesKeepConnection(t *testing.T) {
+	for _, size := range []int{511, 512, 513, 1024} {
+		// {\n  "a": "x…x"\n} is 13 bytes plus the string.
+		v := map[string]string{"a": strings.Repeat("x", size-13)}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusAccepted, v)
+		}))
+		c := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+		reused := 0
+		for i := 0; i < 3; i++ {
+			trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
+				if info.Reused {
+					reused++
+				}
+			}}
+			req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), "GET", srv.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got map[string]string
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || got["a"] != v["a"] {
+				t.Fatalf("size %d: decode %v", size, err)
+			}
+			if resp.ContentLength <= 0 {
+				t.Errorf("size %d: no Content-Length", size)
+			}
+			resp.Body.Close()
+		}
+		c.CloseIdleConnections()
+		srv.Close()
+		if reused != 2 {
+			t.Errorf("size %d: %d of 2 follow-up requests reused the connection", size, reused)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"nowrender/internal/fb"
 )
@@ -25,30 +26,35 @@ func tgaHeader(w, h int) [18]byte {
 	return hd
 }
 
-// Encode writes img as an uncompressed 24-bit TGA.
+// Size returns the number of bytes Encode writes for img: the 18-byte
+// header and three bytes per pixel.
+func Size(img *fb.Framebuffer) int { return 18 + len(img.Pix) }
+
+// encodeBufs recycles Encode's output buffers: a server encodes a frame
+// per request, and a fresh buffer each time is garbage the size of the
+// frame.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Encode writes img as an uncompressed 24-bit TGA in a single Write.
 func Encode(w io.Writer, img *fb.Framebuffer) error {
 	if img.W > 0xFFFF || img.H > 0xFFFF {
 		return fmt.Errorf("tga: image %dx%d exceeds format limits", img.W, img.H)
 	}
-	bw := bufio.NewWriter(w)
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	if cap(*bp) < Size(img) {
+		*bp = make([]byte, Size(img))
+	}
+	out := (*bp)[:Size(img)]
 	hd := tgaHeader(img.W, img.H)
-	if _, err := bw.Write(hd[:]); err != nil {
-		return err
+	copy(out, hd[:])
+	// TGA stores BGR; Pix is RGB with the same top-to-bottom row order.
+	body := out[len(hd):]
+	for i := 0; i < len(body); i += 3 {
+		body[i], body[i+1], body[i+2] = img.Pix[i+2], img.Pix[i+1], img.Pix[i]
 	}
-	// TGA stores BGR.
-	row := make([]byte, img.W*3)
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			r, g, b := img.At(x, y)
-			row[x*3+0] = b
-			row[x*3+1] = g
-			row[x*3+2] = r
-		}
-		if _, err := bw.Write(row); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err := w.Write(out)
+	return err
 }
 
 // Decode reads an uncompressed 24-bit TGA produced by Encode (top-left

@@ -2,6 +2,8 @@ package tga
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +35,44 @@ func TestTGARoundTrip(t *testing.T) {
 	}
 	if !got.Equal(img) {
 		t.Error("TGA round trip not identical")
+	}
+}
+
+// TestTGAEncodePinned pins Encode's exact bytes for a fixed image: the
+// SHA-256 was taken from the per-pixel encoder Encode replaced, and
+// Size must agree with what Encode writes.
+func TestTGAEncodePinned(t *testing.T) {
+	img := gradientImage(33, 17)
+	var buf bytes.Buffer
+	if err := Encode(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	const want = "e9e35569a8626acfe8fcb64e3c9cafc7377da20851a606c920939115cdb7598a"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("encoded SHA-256 %s, want %s", got, want)
+	}
+	if buf.Len() != Size(img) {
+		t.Errorf("encoded %d bytes, Size says %d", buf.Len(), Size(img))
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct{ writes, n int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	c.n += len(p)
+	return len(p), nil
+}
+
+func TestTGAEncodeSingleWrite(t *testing.T) {
+	img := gradientImage(120, 160)
+	var cw countingWriter
+	if err := Encode(&cw, img); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes != 1 || cw.n != Size(img) {
+		t.Errorf("%d writes of %d bytes in total, want 1 of %d", cw.writes, cw.n, Size(img))
 	}
 }
 
